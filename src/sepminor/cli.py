@@ -70,7 +70,31 @@ def _emit_json(data, out: str | None) -> None:
     _emit(formats.dumps_canonical(data), out)
 
 
+GEN_FAMILIES = (
+    "king-grid",
+    "planar-grid",
+    "complete",
+    "path",
+    "cycle",
+    "random-regular",
+    "subdivided-clique",
+    "subdivided-cubic",
+    "subdivided-planar-grid",
+)
+# Flags a family cannot be built without; argparse leaves them None when absent.
+GEN_REQUIRED = {
+    "random-regular": ("seed",),
+    "subdivided-clique": ("eps",),
+    "subdivided-cubic": ("seed", "eps"),
+    "subdivided-planar-grid": ("eps",),
+}
+
+
 def _cmd_gen(args) -> int:
+    for flag in GEN_REQUIRED.get(args.family, ()):
+        if getattr(args, flag) is None:
+            sys.stderr.write(f"error: --family {args.family} needs --{flag}\n")
+            return EXIT_USAGE
     seed = args.seed if args.seed is not None else 0
     meta = {"family": args.family, "seed": seed}
     if args.family == "king-grid":
@@ -86,8 +110,6 @@ def _cmd_gen(args) -> int:
     elif args.family == "cycle":
         g = cycle(args.size)
     elif args.family == "random-regular":
-        if args.seed is None:
-            raise SystemExit(EXIT_USAGE)
         g = random_regular(args.size, args.degree, seed)
         meta.update(degree=args.degree)
     elif args.family == "subdivided-clique":
@@ -95,17 +117,13 @@ def _cmd_gen(args) -> int:
         g = sub.graph
         meta.update(eps=str(args.eps), per_edge=sub.per_edge, base="complete")
     elif args.family == "subdivided-cubic":
-        if args.seed is None:
-            raise SystemExit(EXIT_USAGE)
         sub = subdivide_eps(random_regular(args.size, 3, seed), args.eps)
         g = sub.graph
         meta.update(eps=str(args.eps), per_edge=sub.per_edge, base="random-3-regular")
-    elif args.family == "subdivided-planar-grid":
+    else:  # subdivided-planar-grid; argparse rejects any other family
         sub = subdivide_eps_sqrt(planar_grid(args.size), args.eps)
         g = sub.graph
         meta.update(eps=str(args.eps), per_edge=sub.per_edge, base="planar-grid")
-    else:
-        raise SystemExit(EXIT_USAGE)
     meta.update(n=g.n, m=g.m)
     text = serialize_edge_list(g)
     if args.out:
@@ -264,15 +282,16 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_fit(args) -> int:
     with open(args.records, "r", encoding="utf-8") as fh:
-        pairs = formats.parse_records_csv(fh.read())
-    # Rebuild minimal records for the fitter.
+        points = formats.parse_records_csv(fh.read())
+    # Rebuild minimal records for the fitter; only n_or_r, value and
+    # direction reach the fit and its label.
     fam = FamilySpec(kind="path")
     records = [
         harness.ExperimentRecord(
             family=fam, n_or_r=n, kind="separator-size", method="bfs-layer",
-            value=v, direction="upper", seed=0,
+            value=v, direction=direction, seed=0,
         )
-        for n, v in pairs
+        for n, v, direction in points
     ]
     fit = harness.fit_exponent(records)
     payload = {
@@ -305,7 +324,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a family member as an edge list")
     common(p)
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, choices=GEN_FAMILIES)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--eps", type=_fraction, default=None)

@@ -5,7 +5,7 @@ Witness JSON schema:
    cross_edges: {"u-v": [hu, hv]}}
 
 Sweep CSV columns:
-  family,params,n_or_r,kind,method,value_num,value_den,seed,ms
+  family,params,n_or_r,kind,method,value_num,value_den,seed,ms,direction,error
 """
 
 from __future__ import annotations
@@ -20,7 +20,19 @@ from .graph import Graph, build_graph
 from .minors import MinorWitness
 from .separators import SeparatorCertificate
 
-CSV_COLUMNS = ("family", "params", "n_or_r", "kind", "method", "value_num", "value_den", "seed", "ms")
+CSV_COLUMNS = (
+    "family",
+    "params",
+    "n_or_r",
+    "kind",
+    "method",
+    "value_num",
+    "value_den",
+    "seed",
+    "ms",
+    "direction",
+    "error",
+)
 
 
 def witness_to_json(w: MinorWitness) -> dict[str, Any]:
@@ -84,6 +96,8 @@ def records_to_csv(records) -> str:
                 den,
                 rec.seed,
                 f"{rec.ms:.3f}",
+                rec.direction,
+                rec.error or "",
             ]
         )
     return buf.getvalue()
@@ -110,12 +124,17 @@ def records_to_json(records) -> list[dict[str, Any]]:
     return out
 
 
-def parse_records_csv(text: str) -> list[tuple[int, Fraction]]:
-    """Minimal reader for fitting: (n_or_r, value) pairs, skipping error rows."""
+def parse_records_csv(text: str) -> list[tuple[int, Fraction, str]]:
+    """Minimal reader for fitting: (n_or_r, value, direction) triples,
+    skipping error rows.  A CSV without a direction column is rejected, so a
+    fit is never labelled with a guessed direction."""
     reader = csv.DictReader(io.StringIO(text))
+    if "direction" not in (reader.fieldnames or ()):
+        raise ValueError("records CSV has no direction column")
     out = []
     for row in reader:
         if not row.get("value_num"):
             continue
-        out.append((int(row["n_or_r"]), Fraction(int(row["value_num"]), int(row["value_den"]))))
+        value = Fraction(int(row["value_num"]), int(row["value_den"]))
+        out.append((int(row["n_or_r"]), value, row["direction"]))
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import GraphError
 
@@ -20,6 +20,7 @@ __all__ = [
     "ComponentDecomposition",
     "build_graph",
     "components",
+    "oversized_component",
     "bfs_radius",
     "degeneracy",
     "density",
@@ -147,9 +148,6 @@ class ComponentDecomposition:
     def largest(self) -> int:
         return max(self.sizes, default=0)
 
-    def members(self, cid: int) -> list[int]:
-        return [v for v, c in enumerate(self.component_of) if c == cid]
-
 
 def components(g: Graph, removed: Iterable[int] = ()) -> ComponentDecomposition:
     """Decompose G - removed into connected components."""
@@ -175,6 +173,40 @@ def components(g: Graph, removed: Iterable[int] = ()) -> ComponentDecomposition:
                     queue.append(w)
         sizes.append(size)
     return ComponentDecomposition(tuple(comp), tuple(sizes))
+
+
+def oversized_component(
+    g: Graph, region: Sequence[int], removed: Iterable[int], threshold: int
+) -> Optional[list[int]]:
+    """Sorted vertices of the first component of G[region - removed], in the
+    order of `region`, with more than `threshold` vertices; None when every
+    component fits.
+
+    Only region - removed is traversed, and the scan stops as soon as the
+    vertices not yet reached cannot hold such a component.  When threshold is
+    at least half of |region - removed| there is at most one candidate.
+    """
+    adj = g._adj
+    gone = set(removed)
+    unreached = {v for v in region if v not in gone}
+    for start in region:
+        if len(unreached) <= threshold:
+            return None
+        if start not in unreached:
+            continue
+        unreached.remove(start)
+        members = [start]
+        queue = deque(members)
+        while queue:
+            for w in adj[queue.popleft()]:
+                if w in unreached:
+                    unreached.remove(w)
+                    members.append(w)
+                    queue.append(w)
+        if len(members) > threshold:
+            members.sort()
+            return members
+    return None
 
 
 def bfs_radius(g: Graph, center: int, within: Iterable[int]) -> Optional[int]:
@@ -231,20 +263,35 @@ def bfs_layers(g: Graph, start: int, allowed: set[int], depth_cap: Optional[int]
 def degeneracy(g: Graph) -> int:
     """Smallest k such that every subgraph has a vertex of degree <= k.
 
-    Computed by repeated minimum-degree removal (ties broken by vertex id).
+    Repeatedly removes a vertex of minimum remaining degree and returns the
+    largest degree seen at removal, in O(n + m) with the Matula-Beck bucket
+    queue.  Buckets keep stale entries; an entry counts only while its vertex
+    is alive and still has the bucket's degree.
     """
-    if g.n == 0:
-        return 0
     deg = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v in range(g.n):
+        buckets[deg[v]].append(v)
+    alive = [True] * g.n
     best = 0
+    k = 0
     for _ in range(g.n):
-        v = min(alive, key=lambda u: (deg[u], u))
-        best = max(best, deg[v])
-        alive.remove(v)
+        # Removing a vertex of degree k lowers its neighbours to k - 1 at least.
+        k = max(k - 1, 0)
+        while True:
+            bucket = buckets[k]
+            while bucket and not (alive[bucket[-1]] and deg[bucket[-1]] == k):
+                bucket.pop()
+            if bucket:
+                break
+            k += 1
+        v = bucket.pop()
+        alive[v] = False
+        best = max(best, k)
         for w in g.neighbors(v):
-            if w in alive:
+            if alive[w]:
                 deg[w] -= 1
+                buckets[deg[w]].append(w)
     return best
 
 
@@ -303,14 +350,6 @@ def read_edge_list(path: str) -> Graph:
 def write_edge_list(g: Graph, path: str, comments: Sequence[str] = ()) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_edge_list(g, comments))
-
-
-def iter_edges_of_subset(g: Graph, vertices: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """Edges of G with both ends in `vertices`."""
-    inside = set(vertices)
-    for u, v in g.sorted_edges():
-        if u in inside and v in inside:
-            yield (u, v)
 
 
 def count_edges_within(g: Graph, vertices: Iterable[int]) -> int:

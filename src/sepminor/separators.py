@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import AlgorithmFailure, BudgetExceeded, GraphError
-from .graph import Graph, bfs_layers, build_graph, components
+from .graph import Graph, bfs_layers, build_graph, components, oversized_component
 from .intmath import ceil_log2_mul, le_log2_mul
 from .minors import MinorWitness, verify_minor_witness
 
@@ -136,13 +136,48 @@ def min_balanced_separator_exact(g: Graph, budget: int = EXACT_BUDGET) -> Separa
 # ---------------------------------------------------------------------------
 
 def _shrink_separator(g: Graph, separator: set[int]) -> set[int]:
-    """Drop separator vertices (ascending id) while balance is preserved."""
+    """Drop separator vertices (ascending id) while balance is preserved.
+
+    A dropped vertex only joins G - separator, so components only ever merge:
+    G - separator is decomposed once, and a union-find over its components
+    (with sizes and the running largest size) decides each drop exactly.
+    Dropping v merges v with the distinct components around it into one of
+    1 + their summed sizes; the drop is kept iff neither that nor the largest
+    other component exceeds floor(2n/3).  An unbalanced input therefore keeps
+    every vertex.  Cost O(n + m) in all, not one decomposition per vertex.
+    """
     threshold = balance_threshold(g.n)
+    decomp = components(g, separator)
+    comp = list(decomp.component_of)  # -1 while the vertex is in the separator
+    parent = list(range(decomp.count))
+    size = list(decomp.sizes)
+    largest = decomp.largest()
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    kept = set(separator)
     for v in sorted(separator):
-        trial = separator - {v}
-        if components(g, trial).largest() <= threshold:
-            separator = trial
-    return separator
+        roots = {find(comp[w]) for w in g.neighbors(v) if comp[w] != -1}
+        merged = 1 + sum(size[r] for r in roots)
+        if max(largest, merged) > threshold:
+            continue
+        kept.remove(v)
+        if roots:
+            root = max(roots, key=size.__getitem__)  # union by size
+            for r in roots:
+                parent[r] = root
+        else:
+            root = len(parent)
+            parent.append(root)
+            size.append(0)
+        size[root] = merged
+        comp[v] = root
+        largest = max(largest, merged)
+    return kept
 
 
 def _cut_roots(g: Graph, region: list[int]) -> list[int]:
@@ -193,8 +228,11 @@ def _split_order_cut(g: Graph, region: list[int]) -> set[int]:
 def separator_heuristic(g: Graph, strategy: str = "bfs-layer") -> SeparatorCertificate:
     """Certified balanced separator with no optimality claim.
 
-    Both strategies repeatedly cut the largest oversized component and finish
-    with a greedy shrink pass, so sizes are usable as upper-bound samples.
+    Both strategies repeatedly cut the oversized component and finish with a
+    greedy shrink pass, so sizes are usable as upper-bound samples.  At most
+    one component of any subgraph can exceed floor(2n/3), and every cut lies
+    inside it, so each round only re-decomposes that component minus the cut;
+    the final certificate is still checked on the whole graph.
     """
     if strategy not in HEURISTIC_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -202,13 +240,8 @@ def separator_heuristic(g: Graph, strategy: str = "bfs-layer") -> SeparatorCerti
         return SeparatorCertificate(frozenset(), 0, 0)
     threshold = balance_threshold(g.n)
     separator: set[int] = set()
-    while True:
-        decomp = components(g, separator)
-        oversized = [cid for cid, size in enumerate(decomp.sizes) if size > threshold]
-        if not oversized:
-            break
-        big = max(oversized, key=lambda cid: (decomp.sizes[cid], -cid))
-        region = decomp.members(big)
+    region = oversized_component(g, range(g.n), (), threshold)
+    while region is not None:
         if strategy == "bfs-layer":
             cut = _bfs_layer_cut(g, region)
         else:
@@ -216,6 +249,7 @@ def separator_heuristic(g: Graph, strategy: str = "bfs-layer") -> SeparatorCerti
         if not cut:
             raise AlgorithmFailure("empty cut on an oversized component")
         separator |= cut
+        region = oversized_component(g, region, cut, threshold)
     separator = _shrink_separator(g, separator)
     return _certificate(g, separator)
 
@@ -351,6 +385,11 @@ def prs_separator_or_minor(g: Graph, l: int, h: int) -> PrsOutcome:
     layer moves to the separator; candidates that lose contact with the
     oversized region are dumped into the separator.  Whichever branch completes
     is verified before being returned; verification failure raises.
+
+    At most one component of G - (separator + candidates) can exceed
+    floor(2n/3), and each round removes vertices only from inside it (a new
+    candidate or a cut layer; dumping a candidate removes nothing new), so the
+    next oversized region is found by re-decomposing the current one alone.
     """
     if l < 1 or h < 1:
         raise ValueError(f"need l >= 1 and h >= 1, got l={l}, h={h}")
@@ -362,12 +401,10 @@ def prs_separator_or_minor(g: Graph, l: int, h: int) -> PrsOutcome:
 
     separator: set[int] = set()
     clusters: list[_Cluster] = []
+    region = oversized_component(g, range(n), (), threshold)
 
     while True:
-        removed = separator | {v for c in clusters for v in c.vertices}
-        decomp = components(g, removed)
-        oversized = [cid for cid, size in enumerate(decomp.sizes) if size > threshold]
-        if not oversized:
+        if region is None:
             final = _shrink_separator(g, separator | {v for c in clusters for v in c.vertices})
             cert = _certificate(g, final)
             if not _separator_within_bound(cert.size, n, l, h):
@@ -377,8 +414,6 @@ def prs_separator_or_minor(g: Graph, l: int, h: int) -> PrsOutcome:
             return PrsOutcome(
                 branch="separator", l=l, h=h, n=n, depth_cap=depth_cap, certificate=cert
             )
-        big = max(oversized, key=lambda cid: (decomp.sizes[cid], -cid))
-        region = decomp.members(big)
 
         outcome, payload = _grow_cluster(g, region, clusters, depth_cap, l, n)
         if outcome == "cluster":
@@ -391,8 +426,10 @@ def prs_separator_or_minor(g: Graph, l: int, h: int) -> PrsOutcome:
                 return PrsOutcome(
                     branch="minor", l=l, h=h, n=n, depth_cap=depth_cap, witness=witness
                 )
+            region = oversized_component(g, region, payload.vertices, threshold)
         elif outcome == "cut":
             separator |= payload
+            region = oversized_component(g, region, payload, threshold)
         else:  # stranded: some cluster cannot reach the oversized region
             region_set = set(region)
             stranded = [

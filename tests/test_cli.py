@@ -170,10 +170,43 @@ def test_sweep_csv_then_fit(tmp_path):
     )
     assert proc.returncode == 0
     header = csv_path.read_text().splitlines()[0]
-    assert header == "family,params,n_or_r,kind,method,value_num,value_den,seed,ms"
+    assert header == "family,params,n_or_r,kind,method,value_num,value_den,seed,ms,direction,error"
     fit = json.loads(run_cli("fit", str(csv_path)).stdout)
     assert 0.2 <= fit["exponent"] <= 0.8
     assert fit["points"] == 5
+    assert fit["label"] == "upper-envelope"
+
+
+def test_fit_keeps_lower_direction_through_csv(tmp_path):
+    csv_path = tmp_path / "records.csv"
+    proc = run_cli(
+        "sweep",
+        "--family", "path",
+        "--sizes", "10,20,40",
+        "--quantity", "nabla-lower",
+        "--method", "slab",
+        "--out", str(csv_path),
+    )
+    assert proc.returncode == 0
+    fit = json.loads(run_cli("fit", str(csv_path)).stdout)
+    assert fit["label"] == "lower-envelope"
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        (("--family", "nope", "--size", "3"), "nope"),
+        (("--family", "random-regular", "--size", "10"), "--seed"),
+        (("--family", "subdivided-cubic", "--size", "10", "--eps", "1/2"), "--seed"),
+        (("--family", "subdivided-clique", "--size", "5"), "--eps"),
+    ],
+)
+def test_gen_usage_errors_name_the_problem(args, named):
+    proc = run_cli("gen", *args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr and named in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_sweep_json_format():

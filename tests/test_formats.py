@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from sepminor import slab_bipartite_witness, verify_minor_witness
 from sepminor.formats import (
     certificate_to_json,
@@ -51,9 +53,16 @@ def test_records_csv_round_trip():
     ]
     text = records_to_csv(recs)
     header = text.splitlines()[0]
-    assert header == "family,params,n_or_r,kind,method,value_num,value_den,seed,ms"
-    pairs = parse_records_csv(text)
-    assert pairs == [(16, Fraction(4)), (25, Fraction(5))]
+    assert header == "family,params,n_or_r,kind,method,value_num,value_den,seed,ms,direction,error"
+    assert text.splitlines()[3].endswith(",error,boom")
+    points = parse_records_csv(text)
+    assert points == [(16, Fraction(4), "upper"), (25, Fraction(5), "upper")]
+
+
+def test_records_csv_without_direction_rejected():
+    text = "family,params,n_or_r,kind,method,value_num,value_den,seed,ms\npath,,10,k,m,1,1,0,0.1\n"
+    with pytest.raises(ValueError, match="direction"):
+        parse_records_csv(text)
 
 
 def test_dumps_canonical_sorted_and_stable():

@@ -13,6 +13,7 @@ from sepminor import (
     parse_edge_list,
     serialize_edge_list,
 )
+from sepminor.graph import oversized_component
 from sepminor.generators import complete, cycle, path, random_graph, star
 
 
@@ -141,3 +142,35 @@ def test_induced_relabel():
     assert sub.n == 3
     assert sub.has_edge(index[1], index[2])
     assert not sub.has_edge(index[1], index[5])
+
+
+def test_degeneracy_matches_networkx_core_number_random():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(19)
+    for _ in range(80):
+        n = rng.randint(1, 60)
+        g = random_graph(n, rng.randint(0, min(n * (n - 1) // 2, 4 * n)), rng.getrandbits(32))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges)
+        assert degeneracy(g) == max(nx.core_number(h).values())
+
+
+def test_oversized_component_matches_components_random():
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        g = random_graph(n, rng.randint(0, min(n * (n - 1) // 2, 2 * n)), rng.getrandbits(32))
+        outside = {v for v in range(n) if rng.random() < 0.2}
+        region = [v for v in range(n) if v not in outside]
+        removed = {v for v in region if rng.random() < 0.2}
+        threshold = rng.randint(len(region) // 2, len(region))
+        decomp = components(g, outside | removed)
+        big = [
+            [v for v in range(n) if decomp.component_of[v] == cid]
+            for cid, size in enumerate(decomp.sizes)
+            if size > threshold
+        ]
+        assert len(big) <= 1
+        expected = big[0] if big else None
+        assert oversized_component(g, region, removed, threshold) == expected

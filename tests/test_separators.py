@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -13,17 +14,22 @@ from sepminor import (
     is_alpha_expander_exact,
     is_balanced_separator,
     min_balanced_separator_exact,
+    prs_separator_or_minor,
     separator_heuristic,
 )
+from sepminor.formats import certificate_to_json, dumps_canonical, witness_to_json
 from sepminor.generators import (
     complete,
     cycle,
+    king_grid,
     path,
     planar_grid,
     random_graph,
     random_regular,
     star,
+    subdivide_eps,
 )
+from sepminor.separators import _shrink_separator
 
 
 def brute_min_separator(g):
@@ -144,3 +150,81 @@ def test_expansion_estimate_deterministic():
 
 def test_star_exact_is_one():
     assert min_balanced_separator_exact(star(12)).size == 1
+
+
+def shrink_oracle(g, separator):
+    """The shrink pass as one full decomposition per separator vertex."""
+    threshold = balance_threshold(g.n)
+    for v in sorted(separator):
+        trial = separator - {v}
+        if components(g, trial).largest() <= threshold:
+            separator = trial
+    return separator
+
+
+def test_shrink_matches_per_vertex_oracle_random():
+    rng = random.Random(33)
+    kinds = {True: 0, False: 0}
+    shrunk = 0
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        m = rng.randint(0, min(n * (n - 1) // 2, 3 * n))
+        g = random_graph(n, m, rng.getrandbits(32))
+        separator = {v for v in range(n) if rng.random() < rng.choice((0.02, 0.1, 0.3))}
+        if rng.random() < 0.5:
+            # grow to a balanced separator by adding vertices in random order
+            order = list(range(n))
+            rng.shuffle(order)
+            for v in order:
+                if is_balanced_separator(g, separator):
+                    break
+                separator.add(v)
+        kinds[is_balanced_separator(g, separator)] += 1
+        result = _shrink_separator(g, set(separator))
+        assert result == shrink_oracle(g, set(separator))
+        shrunk += result != separator
+    assert kinds[True] > 50 and kinds[False] > 50 and shrunk > 50
+
+
+def _digest(data):
+    return hashlib.sha256(dumps_canonical(data).encode()).hexdigest()
+
+
+# sha256 of the canonical JSON of each output, recorded from the per-vertex
+# and full re-decomposition loops that the incremental ones replaced.
+HEURISTIC_DIGESTS = {
+    ("planar_grid(20)", "bfs-layer"): "93313af60d66675d178d1c5bf3bcc098a8781ce0605218c5a4c3bd003fa5a316",
+    ("planar_grid(20)", "recursive-bisection"): "cb374fb811d0292c1043c64bbe43198dce6b6e067d2d0c54946acdfabb657d35",
+    ("subdivided_cubic", "bfs-layer"): "11d279f3f13cdffb07e4298902acbb17edfa2adb303f6fadb17efe0dfa431b29",
+    ("subdivided_cubic", "recursive-bisection"): "0a1af06847667e7a1993b7dbc5255be789511fea4aad30c3480871eef3a5dba7",
+    ("king_grid(8,2)", "bfs-layer"): "45d6c8bc27835415534ff8db36e4d97c5eac5cd7305fd9ea97071f3e93ec5a3a",
+    ("king_grid(8,2)", "recursive-bisection"): "5be6a7e3e5fa2baf8f35b49559a1285d7b9366bfffb6c4d258db554fe316b987",
+}
+PRS_DIGESTS = {
+    ("path(200)", 3, 3): ("separator", "dae8cc3f3c912cc74f0cfa0101b531599ab7e59e5bd64816a1942eafc3f4ef78"),
+    ("planar_grid(20)", 3, 4): ("separator", "a525b852a13c5e9b7215ee9f3e0fd11b4b98d01daaee69947b5f82d7396e64aa"),
+    ("planar_grid(20)", 2, 3): ("minor", "2404ac2899e3da0b2766128e7bb7b4fc0a0aeb6d76a98eecfcb042c7c1d4f777"),
+}
+CORPUS = {
+    "planar_grid(20)": lambda: planar_grid(20),
+    "subdivided_cubic": lambda: subdivide_eps(random_regular(20, 3, 3), Fraction(1, 2)).graph,
+    "king_grid(8,2)": lambda: king_grid(8, 2),
+    "path(200)": lambda: path(200),
+}
+
+
+@pytest.mark.parametrize("name,strategy", sorted(HEURISTIC_DIGESTS))
+def test_heuristic_certificate_digests_fixed_corpus(name, strategy):
+    cert = separator_heuristic(CORPUS[name](), strategy)
+    assert _digest(certificate_to_json(cert)) == HEURISTIC_DIGESTS[(name, strategy)]
+
+
+@pytest.mark.parametrize("name,l,h", sorted(PRS_DIGESTS))
+def test_prs_output_digests_fixed_corpus(name, l, h):
+    out = prs_separator_or_minor(CORPUS[name](), l, h)
+    data = (
+        certificate_to_json(out.certificate)
+        if out.branch == "separator"
+        else witness_to_json(out.witness)
+    )
+    assert (out.branch, _digest(data)) == PRS_DIGESTS[(name, l, h)]
