@@ -11,7 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Optional
+
+import numpy as np
 
 from .errors import BudgetExceeded, GenerationError, GraphError
 from .graph import Graph, build_graph
@@ -121,21 +124,24 @@ def king_grid(n: int, d: int, budget: int = DEFAULT_SIZE_BUDGET) -> Graph:
     if n**d > budget:
         raise BudgetExceeded(f"king_grid({n},{d}) has {n ** d} vertices > budget {budget}")
     total = n**d
-    edges = []
-    # enumerate neighbors by coordinate offsets in {-2..2}^d
-    offsets = [()]
-    for _ in range(d):
-        offsets = [o + (delta,) for o in offsets for delta in (-2, -1, 0, 1, 2)]
-    offsets = [o for o in offsets if any(o)]
-    for vid in range(total):
-        coord = king_grid_id_to_coord(vid, n, d)
-        for off in offsets:
-            other = tuple(c + x for c, x in zip(coord, off))
-            if all(1 <= c <= n for c in other):
-                wid = king_grid_coord_to_id(other, n)
-                if wid > vid:
-                    edges.append((vid, wid))
-    return build_graph(total, edges)
+    coords = np.unravel_index(np.arange(total), (n,) * d)
+    # Each edge once: its offset's first nonzero coordinate is positive, so
+    # the far end has the larger id, shifted by a constant per offset.
+    lows, highs = [], []
+    for off in product((-2, -1, 0, 1, 2), repeat=d):
+        if not any(off) or next(x for x in off if x) < 0:
+            continue
+        inside = np.ones(total, dtype=bool)
+        for c, x in zip(coords, off):
+            if x:
+                inside &= (c + x >= 0) & (c + x < n)
+        low = np.flatnonzero(inside)
+        lows.append(low)
+        highs.append(low + sum(x * n ** (d - 1 - i) for i, x in enumerate(off)))
+    low = np.concatenate(lows)
+    high = np.concatenate(highs)
+    order = np.lexsort((high, low))
+    return build_graph(total, zip(low[order].tolist(), high[order].tolist()))
 
 
 @dataclass(frozen=True)

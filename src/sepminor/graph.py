@@ -11,7 +11,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import GraphError
 
@@ -350,6 +353,14 @@ def read_edge_list(path: str) -> Graph:
 def write_edge_list(g: Graph, path: str, comments: Sequence[str] = ()) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_edge_list(g, comments))
+
+
+def edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Both ends (u, v), u < v, of every edge as int64 arrays, in sorted edge order."""
+    indices = np.fromiter(chain.from_iterable(g._adj), dtype=np.int64, count=2 * g.m)
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), [len(nbrs) for nbrs in g._adj])
+    upper = indices > rows
+    return rows[upper], indices[upper]
 
 
 def count_edges_within(g: Graph, vertices: Iterable[int]) -> int:

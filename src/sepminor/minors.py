@@ -17,10 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import AlgorithmFailure, BudgetExceeded, GraphError, InfeasibleConstruction
-from .graph import Graph, bfs_radius, bfs_layers, build_graph, count_edges_within
+from .graph import Graph, bfs_radius, bfs_layers, build_graph, count_edges_within, edge_ends
 from .generators import (
     DEFAULT_SIZE_BUDGET,
     SubdivisionResult,
@@ -69,17 +69,11 @@ class MinorWitness:
 
 @dataclass(frozen=True)
 class DensityReport:
-    """One-sided or two-sided evidence about the densest depth-r minor."""
+    """Certified lower bound on the density of the densest depth-r minor, with its witness."""
 
     r: int
     lower: Optional[Fraction] = None
     lower_witness: Optional[MinorWitness] = None
-    upper: Optional[Fraction] = None
-    upper_provenance: Optional[str] = None  # degeneracy | grid-degree | cubic-degree | planarity
-
-    def __post_init__(self):
-        if self.lower is not None and self.upper is not None and self.lower > self.upper:
-            raise ValueError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
 
 
 def verify_minor_witness(g: Graph, w: MinorWitness) -> tuple[bool, Optional[str]]:
@@ -206,56 +200,61 @@ def densest_subgraph_exhaustive(g: Graph, budget: int = 24) -> tuple[frozenset[i
     return vertices, best
 
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
 def _improving_subgraph(g: Graph, lam: Fraction) -> Optional[frozenset[int]]:
     """Some vertex set S with e(S) - lam*|S| > 0, or None if none exists.
 
-    Min-cut formulation: source -> edge node (capacity q), edge node -> its two
-    endpoint nodes (capacity inf), vertex node -> sink (capacity p), where
-    lam = p/q.  All capacities are integers, so the decision is exact.
+    Min-cut formulation with lam = p/q: source -> edge node (capacity q),
+    edge node -> each of its two endpoint nodes (capacity q), vertex node ->
+    sink (capacity p).  An edge node never receives more than q, so its arcs
+    out act as the infinite arcs of Goldberg's network and the minimum cuts
+    keep their vertex sides.  The source side of the residual network is
+    the minimal maximiser of q*e(S) - p*|S|.  Every capacity is p or q and
+    must fit in int32; sums are taken in int64, so the decision is exact.
     """
     if g.m == 0:
         return None
     p, q = lam.numerator, lam.denominator
-    edges = g.sorted_edges()
-    n, m = g.n, len(edges)
-    source = 0
-    sink = 1 + m + n
-    inf = q * m + 1
-    rows, cols, caps = [], [], []
-    for i, (u, v) in enumerate(edges):
-        rows.append(source), cols.append(1 + i), caps.append(q)
-        rows.append(1 + i), cols.append(1 + m + u), caps.append(inf)
-        rows.append(1 + i), cols.append(1 + m + v), caps.append(inf)
-    for v in range(n):
-        rows.append(1 + m + v), cols.append(sink), caps.append(p)
+    for name, value in (("numerator", p), ("denominator", q)):
+        if not 0 <= value <= _INT32_MAX:
+            raise AlgorithmFailure(
+                f"flow capacity {value} (the {name} of lambda = {lam}) does not fit in int32"
+            )
+    n, m = g.n, g.m
+    u, v = edge_ends(g)
+    source, sink = 0, 1 + m + n
     size = 2 + m + n
-    graph = csr_matrix((caps, (rows, cols)), shape=(size, size), dtype=np.int64)
-    result = maximum_flow(graph.astype(np.int32), source, sink)
-    if q * m - result.flow_value <= 0:
+    # Rows: the source (m arcs), edge nodes 1..m (two arcs each), vertex
+    # nodes m+1..m+n (one arc each), the sink (none).
+    indptr = np.concatenate(
+        ([0], m + 2 * np.arange(m + 1), 3 * m + np.arange(1, n + 1), [3 * m + n])
+    )
+    indices = np.concatenate(
+        (
+            np.arange(1, m + 1),
+            np.column_stack((1 + m + u, 1 + m + v)).ravel(),
+            np.full(n, sink),
+        )
+    )
+    caps = np.concatenate((np.full(3 * m, q, dtype=np.int32), np.full(n, p, dtype=np.int32)))
+    network = csr_matrix((caps, indices, indptr), shape=(size, size))
+    result = maximum_flow(network, source, sink)
+    flow_value = int(result.flow_value)
+    if flow_value >= q * m:
         return None
-    # residual reachability from the source gives the maximizing side
-    fcoo = result.flow.tocoo()
-    fmap = {
-        (i, j): f
-        for i, j, f in zip(fcoo.row.tolist(), fcoo.col.tolist(), fcoo.data.tolist())
-    }
-    ccoo = graph.tocoo()
-    residual: list[list[int]] = [[] for _ in range(size)]
-    for i, j, c in zip(ccoo.row.tolist(), ccoo.col.tolist(), ccoo.data.tolist()):
-        f = fmap.get((i, j), 0)
-        if c - f > 0:
-            residual[i].append(j)
-        if f > 0:
-            residual[j].append(i)
-    reach = {source}
-    stack = [source]
-    while stack:
-        x = stack.pop()
-        for y in residual[x]:
-            if y not in reach:
-                reach.add(y)
-                stack.append(y)
-    chosen = frozenset(v for v in range(n) if (1 + m + v) in reach)
+    residual = (network - result.flow) > 0
+    reached = breadth_first_order(residual, source, directed=True, return_predecessors=False)
+    side = np.zeros(size, dtype=bool)
+    side[reached] = True
+    rows = np.repeat(np.arange(size), np.diff(indptr))
+    crossing = side[rows] & ~side[indices]
+    cut = int(caps[crossing].sum(dtype=np.int64))
+    if side[sink] or cut != flow_value:
+        raise AlgorithmFailure(f"min cut {cut} does not match max flow {flow_value}")
+    vertex_nodes = reached[(reached > m) & (reached < sink)]
+    chosen = frozenset((vertex_nodes - (1 + m)).tolist())
     if not chosen:
         raise AlgorithmFailure("flow reported an improvement but the cut side is empty")
     return chosen

@@ -180,19 +180,21 @@ def _shrink_separator(g: Graph, separator: set[int]) -> set[int]:
     return kept
 
 
-def _cut_roots(g: Graph, region: list[int]) -> list[int]:
+def _cut_roots(
+    g: Graph, region: list[int], allowed: set[int]
+) -> tuple[list[int], list[list[int]]]:
     """A few deterministic BFS roots: the smallest id, the farthest vertex
-    from it, and a maximum-degree vertex."""
-    allowed = set(region)
+    from it, and a maximum-degree vertex; plus the BFS layers from the first
+    root, which found the second."""
     first = min(region)
-    layers, _ = bfs_layers(g, first, allowed)
-    farthest = min(layers[-1])
+    first_layers, _ = bfs_layers(g, first, allowed)
+    farthest = min(first_layers[-1])
     top_degree = min(region, key=lambda v: (-g.degree(v), v))
     roots = []
     for r in (first, farthest, top_degree):
         if r not in roots:
             roots.append(r)
-    return roots
+    return roots, first_layers
 
 
 def _bfs_layer_cut(g: Graph, region: list[int]) -> set[int]:
@@ -202,8 +204,9 @@ def _bfs_layer_cut(g: Graph, region: list[int]) -> set[int]:
     allowed = set(region)
     total = len(region)
     best: Optional[set[int]] = None
-    for start in _cut_roots(g, region):
-        layers, _ = bfs_layers(g, start, allowed)
+    roots, first_layers = _cut_roots(g, region, allowed)
+    for start in roots:
+        layers = first_layers if start == roots[0] else bfs_layers(g, start, allowed)[0]
         prefix = 0
         for layer in layers:
             suffix = total - prefix - len(layer)

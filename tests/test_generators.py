@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sepminor import GenerationError, components
+from sepminor import GenerationError, build_graph, components
 from sepminor.generators import (
     FamilySpec,
     complete,
@@ -53,6 +53,36 @@ def test_king_grid_coordinate_mapping_round_trip():
         assert king_grid_coord_to_id(coord, n) == vid
     # last coordinate varies fastest
     assert king_grid_coord_to_id((1, 1, 2), 4) == 1
+
+
+def king_grid_loop_oracle(n, d):
+    """The per-vertex loop that king_grid vectorised, kept as its oracle."""
+    total = n**d
+    edges = []
+    offsets = [()]
+    for _ in range(d):
+        offsets = [o + (delta,) for o in offsets for delta in (-2, -1, 0, 1, 2)]
+    offsets = [o for o in offsets if any(o)]
+    for vid in range(total):
+        coord = king_grid_id_to_coord(vid, n, d)
+        for off in offsets:
+            other = tuple(c + x for c, x in zip(coord, off))
+            if all(1 <= c <= n for c in other):
+                wid = king_grid_coord_to_id(other, n)
+                if wid > vid:
+                    edges.append((vid, wid))
+    return build_graph(total, edges)
+
+
+@pytest.mark.parametrize(
+    "n,d", [(1, 1), (2, 1), (7, 1), (1, 2), (2, 2), (3, 2), (5, 2), (9, 2), (3, 3), (6, 3), (4, 4), (5, 4)]
+)
+def test_king_grid_matches_loop_oracle(n, d):
+    g = king_grid(n, d)
+    oracle = king_grid_loop_oracle(n, d)
+    assert g == oracle
+    assert list(g.edges) == list(oracle.edges)
+    assert [g.neighbors(v) for v in range(g.n)] == [oracle.neighbors(v) for v in range(oracle.n)]
 
 
 def test_king_grid_budget():

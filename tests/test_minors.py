@@ -1,7 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepminor import (
     GraphError,
@@ -24,7 +27,21 @@ from sepminor import (
     verify_minor_witness,
     witness_restrict,
 )
-from sepminor.generators import complete, cycle, king_grid, random_graph, random_tree, star
+from sepminor.errors import AlgorithmFailure
+from sepminor.formats import dumps_canonical, witness_to_json
+from sepminor.generators import (
+    complete,
+    cycle,
+    king_grid,
+    path,
+    planar_grid,
+    random_graph,
+    random_tree,
+    star,
+    subdivide_eps_sqrt,
+)
+from sepminor.graph import count_edges_within
+from sepminor.minors import _improving_subgraph
 
 
 def identity_witness(g):
@@ -132,6 +149,90 @@ def test_densest_flow_matches_exhaustive_random():
         _, flow_val = densest_subgraph(g, method="flow")
         _, brute_val = densest_subgraph_exhaustive(g)
         assert flow_val == brute_val
+
+
+def test_densest_path_50000_is_whole_path():
+    # q*m = 50000 * 49999 is past int32: the flow value must be summed wide.
+    vertices, value = densest_subgraph(path(50_000))
+    assert value == Fraction(49_999, 50_000)
+    assert vertices == frozenset(range(50_000))
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def minimal_maximiser(g, lam):
+    """Brute force: the intersection of all vertex sets that maximise
+    q*e(S) - p*|S| for lam = p/q, or None when no set scores above 0."""
+    p, q = lam.numerator, lam.denominator
+    masks = g.adjacency_masks()
+    best, meet = 0, None
+    for mask in range(1, 1 << g.n):
+        twice = sum((masks[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1)
+        score = q * (twice // 2) - p * mask.bit_count()
+        if score > best:
+            best, meet = score, mask
+        elif score == best and meet is not None:
+            meet &= mask
+    if meet is None:
+        return None
+    return frozenset(v for v in range(g.n) if meet >> v & 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_graphs(), st.fractions(min_value=0, max_value=6, max_denominator=13))
+def test_densest_flow_matches_exhaustive_property(g, lam):
+    vertices, value = densest_subgraph(g, method="flow")
+    assert value == densest_subgraph_exhaustive(g)[1]
+    assert Fraction(count_edges_within(g, vertices), len(vertices)) == value
+    for guess in (Fraction(g.m, g.n), lam):
+        assert _improving_subgraph(g, guess) == minimal_maximiser(g, guess)
+
+
+@pytest.mark.parametrize("lam", [Fraction(2**31, 3), Fraction(1, 2**31), Fraction(2**40, 2**40 - 1)])
+def test_flow_capacity_past_int32_raises(lam):
+    with pytest.raises(AlgorithmFailure, match="int32"):
+        _improving_subgraph(complete(4), lam)
+
+
+def test_flow_capacities_at_int32_limit():
+    # Capacities at 2**31 - 2 fit; the source's total q*m does not, and
+    # only sums see it.
+    lam = Fraction(2**31 - 1, 2**31 - 2)
+    assert _improving_subgraph(complete(4), lam) == frozenset(range(4))
+    assert _improving_subgraph(complete(4), Fraction(2**31 - 1, 2)) is None
+
+
+def _witness_digest(w):
+    return hashlib.sha256(dumps_canonical(witness_to_json(w)).encode()).hexdigest()
+
+
+# sha256 of the canonical witness JSON, recorded from the flow step whose
+# network had q*m + 1 endpoint arcs and whose residual search ran in Python.
+WITNESS_DIGESTS = {
+    "nabla king_grid(8,2) r=1": "3810f7dbe465e6d0d47bf8d587ac36692dbf07d1db83907ebd78bb0fdd258427",
+    "nabla king_grid(8,2) r=2": "06b00f781b5f384fadf6dd0921a59bbbea1f4b0b460da66e9145ed94d7b22d35",
+    "nabla sqrt-subdivided planar_grid(6) eps=3/4 r=2": "ad29113117a68ead4e7e869e2074bdec09ea7b5580c4f46c8320f5477198a440",
+    "slab d=4 r=2": "c83c087f658140a7a656e9cddf94e8d7f132cceef966d4d704de9bacf962f5b6",
+}
+WITNESS_CORPUS = {
+    "nabla king_grid(8,2) r=1": lambda: nabla_lower_greedy(king_grid(8, 2), 1, seed=7).lower_witness,
+    "nabla king_grid(8,2) r=2": lambda: nabla_lower_greedy(king_grid(8, 2), 2, seed=7).lower_witness,
+    "nabla sqrt-subdivided planar_grid(6) eps=3/4 r=2": lambda: nabla_lower_greedy(
+        subdivide_eps_sqrt(planar_grid(6), Fraction(3, 4)).graph, 2, seed=7
+    ).lower_witness,
+    "slab d=4 r=2": lambda: slab_bipartite_witness(4, 2)[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_DIGESTS))
+def test_witness_digests_fixed_corpus(name):
+    assert _witness_digest(WITNESS_CORPUS[name]()) == WITNESS_DIGESTS[name]
 
 
 def test_greedy_r0_reduces_to_densest():
