@@ -151,6 +151,18 @@ def test_tw_exact_and_upper(tmp_path):
     assert upper["method"] == "minfill-upper" and upper["value"] >= 3
 
 
+@pytest.mark.parametrize(
+    "command", [("tw",), ("expand", "--exact", "--alpha", "1")], ids=["tw", "expand"]
+)
+def test_exact_kernel_refuses_30_vertices_past_budget(tmp_path, command):
+    graph = tmp_path / "p.txt"
+    run_cli("gen", "--family", "path", "--size", "30", "--out", str(graph))
+    proc = run_cli(*command, str(graph), "--budget", "40")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "n <= 24, got 30" in proc.stderr
+
+
 def test_bounds_quarter():
     proc = run_cli("bounds", "--eps", "1/4")
     data = json.loads(proc.stdout)

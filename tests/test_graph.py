@@ -156,6 +156,26 @@ def test_degeneracy_matches_networkx_core_number_random():
         assert degeneracy(g) == max(nx.core_number(h).values())
 
 
+def test_components_match_networkx_random():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(37)
+    for _ in range(100):
+        n = rng.randint(1, 40)
+        g = random_graph(n, rng.randint(0, min(n * (n - 1) // 2, 2 * n)), rng.getrandbits(32))
+        removed = {v for v in range(n) if rng.random() < 0.3}
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges)
+        h.remove_nodes_from(removed)
+        decomp = components(g, removed)
+        ours = sorted(
+            sorted(v for v in range(n) if decomp.component_of[v] == cid)
+            for cid in range(decomp.count)
+        )
+        assert ours == sorted(sorted(c) for c in nx.connected_components(h))
+        assert sorted(decomp.sizes) == sorted(len(c) for c in nx.connected_components(h))
+
+
 def test_oversized_component_matches_components_random():
     rng = random.Random(29)
     for _ in range(200):

@@ -11,6 +11,7 @@ from sepminor import (
     components,
     exact_expansion_constant,
     expansion_upper_estimate,
+    hereditary_separator_number,
     is_alpha_expander_exact,
     is_balanced_separator,
     min_balanced_separator_exact,
@@ -228,3 +229,13 @@ def test_prs_output_digests_fixed_corpus(name, l, h):
         else witness_to_json(out.witness)
     )
     assert (out.branch, _digest(data)) == PRS_DIGESTS[(name, l, h)]
+
+
+def test_exact_separator_and_hereditary_digests_fixed_corpus():
+    # recorded from the two searches before they shared _min_separator
+    certs = [
+        certificate_to_json(min_balanced_separator_exact(random_graph(n, 2 * n, 100 + n)))
+        for n in range(8, 15)
+    ]
+    assert _digest(certs) == "516fc32f1f63dbef0ff2f4ffe5c58676140f55a788fe58dd4d55767ed66a79ae"
+    assert [hereditary_separator_number(random_graph(9, 18, s)) for s in (1, 2, 3)] == [3, 2, 3]

@@ -99,6 +99,22 @@ def test_minfill_upper_bounds_exact():
         assert minfill_upper(g).value >= treewidth_exact(g).value
 
 
+def test_networkx_heuristics_upper_bound_exact():
+    approximation = pytest.importorskip("networkx.algorithms.approximation")
+    import networkx as nx
+
+    rng = random.Random(31)
+    for _ in range(30):
+        n = rng.randint(1, 14)
+        g = random_graph(n, rng.randint(0, min(n * (n - 1) // 2, 3 * n)), rng.getrandbits(32))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges)
+        exact = treewidth_exact(g).value
+        assert approximation.treewidth_min_fill_in(h)[0] >= exact
+        assert approximation.treewidth_min_degree(h)[0] >= exact
+
+
 def test_minfill_equality_on_nice_families():
     assert minfill_upper(random_tree(10, seed=7)).value == 1
     assert minfill_upper(complete(6)).value == 5
